@@ -1,86 +1,74 @@
-//! Criterion micro-benchmarks for the random-variate samplers — the
-//! workload model draws millions of these per run.
+//! Micro-benchmarks for the random-variate samplers — the workload model
+//! draws millions of these per run. `GEODNS_QUICK=1` / `--quick` shortens
+//! the timing windows.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use geodns_bench::MicroBench;
 use geodns_simcore::dist::{Discrete, DiscreteUniform, Distribution, Exponential, Geometric, Zipf};
 use geodns_simcore::RngStreams;
 
 const DRAWS: u64 = 10_000;
 
-fn bench_samplers(c: &mut Criterion) {
-    let mut g = c.benchmark_group("distributions");
-    g.throughput(Throughput::Elements(DRAWS));
-
+fn bench_samplers(bench: &mut MicroBench) {
     let exp = Exponential::with_mean(15.0);
-    g.bench_function("exponential", |b| {
-        let mut rng = RngStreams::new(1).stream("exp");
-        b.iter(|| {
-            let mut acc = 0.0;
-            for _ in 0..DRAWS {
-                acc += exp.sample(&mut rng);
-            }
-            acc
-        });
+    let mut rng = RngStreams::new(1).stream("exp");
+    bench.time("distributions/exponential", DRAWS, || {
+        let mut acc = 0.0;
+        for _ in 0..DRAWS {
+            acc += exp.sample(&mut rng);
+        }
+        acc
     });
 
     let hits = DiscreteUniform::new(5, 15).unwrap();
-    g.bench_function("discrete_uniform", |b| {
-        let mut rng = RngStreams::new(2).stream("du");
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..DRAWS {
-                acc += hits.sample(&mut rng);
-            }
-            acc
-        });
+    let mut rng = RngStreams::new(2).stream("du");
+    bench.time("distributions/discrete_uniform", DRAWS, || {
+        let mut acc = 0u64;
+        for _ in 0..DRAWS {
+            acc += hits.sample(&mut rng);
+        }
+        acc
     });
 
     let pages = Geometric::with_mean(20.0).unwrap();
-    g.bench_function("geometric", |b| {
-        let mut rng = RngStreams::new(3).stream("geo");
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..DRAWS {
-                acc += pages.sample(&mut rng);
-            }
-            acc
-        });
+    let mut rng = RngStreams::new(3).stream("geo");
+    bench.time("distributions/geometric", DRAWS, || {
+        let mut acc = 0u64;
+        for _ in 0..DRAWS {
+            acc += pages.sample(&mut rng);
+        }
+        acc
     });
 
     let zipf = Zipf::new(100, 1.0).unwrap();
-    g.bench_function("zipf_alias_k100", |b| {
-        let mut rng = RngStreams::new(4).stream("zipf");
-        b.iter(|| {
-            let mut acc = 0usize;
-            for _ in 0..DRAWS {
-                acc += zipf.sample(&mut rng);
-            }
-            acc
-        });
+    let mut rng = RngStreams::new(4).stream("zipf");
+    bench.time("distributions/zipf_alias_k100", DRAWS, || {
+        let mut acc = 0usize;
+        for _ in 0..DRAWS {
+            acc += zipf.sample(&mut rng);
+        }
+        acc
     });
 
     let weights: Vec<f64> = (1..=1000).map(|i| 1.0 / f64::from(i)).collect();
     let discrete = Discrete::from_weights(&weights).unwrap();
-    g.bench_function("alias_k1000", |b| {
-        let mut rng = RngStreams::new(5).stream("alias");
-        b.iter(|| {
-            let mut acc = 0usize;
-            for _ in 0..DRAWS {
-                acc += discrete.sample(&mut rng);
-            }
-            acc
-        });
-    });
-
-    g.finish();
-}
-
-fn bench_construction(c: &mut Criterion) {
-    c.bench_function("alias_table_build_k1000", |b| {
-        let weights: Vec<f64> = (1..=1000).map(|i| 1.0 / f64::from(i)).collect();
-        b.iter(|| Discrete::from_weights(&weights).unwrap());
+    let mut rng = RngStreams::new(5).stream("alias");
+    bench.time("distributions/alias_k1000", DRAWS, || {
+        let mut acc = 0usize;
+        for _ in 0..DRAWS {
+            acc += discrete.sample(&mut rng);
+        }
+        acc
     });
 }
 
-criterion_group!(benches, bench_samplers, bench_construction);
-criterion_main!(benches);
+fn bench_construction(bench: &mut MicroBench) {
+    let weights: Vec<f64> = (1..=1000).map(|i| 1.0 / f64::from(i)).collect();
+    bench.time("alias_table_build_k1000", 1, || Discrete::from_weights(&weights).unwrap());
+}
+
+fn main() {
+    let mut bench = MicroBench::new("micro_distributions");
+    bench_samplers(&mut bench);
+    bench_construction(&mut bench);
+    bench.finish();
+}

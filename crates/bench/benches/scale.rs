@@ -1,6 +1,5 @@
 //! Internet-scale wall-chart: events/sec and bytes/client as the client
-//! population grows 10k → 1M over a 10k-domain Zipf workload, plus a
-//! weak-scaling row across shard counts.
+//! population grows 10k → 1M over a 10k-domain Zipf workload.
 //!
 //! The paper simulates 500 clients and 20 domains; this chart answers
 //! whether the same model — dense struct-of-arrays client state, the
@@ -9,38 +8,29 @@
 //! client, the paper's 500-for-500 design point) so per-server offered
 //! load stays at the ~2/3 design level while the event count scales.
 //!
-//! Two sections:
-//!
-//! * **dense** — single-world runs at 10k / 100k / 1M clients; reports
-//!   events processed, wall-clock events/sec, and the measured per-client
-//!   session-state bytes (the struct-of-arrays columns; ~32¼ B/client).
-//! * **weak scaling** — a fixed per-shard population at 1 / 2 / 4 shards
-//!   ([`ShardSpec`]); total work grows with the shard count, so on a
-//!   many-core box events/sec should grow and on a one-core box stay
-//!   flat. The gate is a *collapse* detector, not a speedup claim: the
-//!   committed baseline comes from a single-core reference box where the
-//!   ideal curve is flat, so the check fails only when sharding destroys
-//!   throughput (barrier convoying, exchange overhead), never when a
-//!   small box fails to show a big box's speedup.
+//! Each cell times its two phases apart: `build_s` is `World::new`
+//! (workload tables, client columns, farm), and events/sec divides the
+//! processed events by `run_s`, the time in `World::run_metered` alone
+//! (stepping plus the report's finalize), so construction never inflates
+//! or dilutes the rate. Each cell also reports the measured per-client
+//! session-state bytes (the struct-of-arrays columns; ~32¼ B/client).
 //!
 //! Modes:
 //!
-//! * default — the full grid, 1M-client cell included;
+//! * default — 10k / 100k / 1M clients;
 //! * `GEODNS_QUICK=1` / `--quick` — shrunken populations and spans for CI;
 //! * `--check` — gate the measured numbers against the committed
-//!   `BENCH_scale.json`: every dense cell must hold
-//!   `gate_max_bytes_per_client`, and every multi-shard cell must hold
-//!   `gate_min_weak_ratio` × the 1-shard events/sec.
+//!   `BENCH_scale.json`: every cell must hold `gate_max_bytes_per_client`.
 //!
 //! The grid is persisted to `target/paper/scale.json`; the committed
 //! `BENCH_scale.json` is a hand-promoted snapshot of a reference run plus
-//! the gate values.
+//! the gate value.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use geodns_bench::{output_dir, quick_mode};
-use geodns_core::{format_table, run_simulation_metered, Algorithm, SimConfig};
+use geodns_core::{format_table, Algorithm, SimConfig, World};
 use geodns_server::HeterogeneityLevel;
 
 const DOMAINS: usize = 10_000;
@@ -48,25 +38,25 @@ const DOMAINS: usize = 10_000;
 /// A scale-run configuration: `clients` over [`DOMAINS`] Zipf domains,
 /// capacity matched to the population, response CDFs capped so report
 /// memory stays bounded however long the run.
-fn scale_config(clients: usize, warmup_s: f64, duration_s: f64, shards: usize) -> SimConfig {
+fn scale_config(clients: usize, warmup_s: f64, duration_s: f64) -> SimConfig {
     let mut cfg = SimConfig::paper_default(Algorithm::drr2_ttl_s_k(), HeterogeneityLevel::H20);
     cfg.workload.n_clients = clients;
     cfg.workload.n_domains = DOMAINS;
     cfg.total_capacity = clients as f64;
     cfg.warmup_s = warmup_s;
     cfg.duration_s = duration_s;
-    cfg.seed = 0x5CA1_E000 + shards as u64;
+    cfg.seed = 0x5CA1_E001;
     cfg.cdf_sample_cap = 1 << 20;
-    cfg.shard.shards = shards;
     cfg
 }
 
-/// One measured cell: run to completion, time it, pull the metrics.
+/// One measured cell: build the world, run it to completion, time each
+/// phase, pull the metrics.
 struct Cell {
     clients: usize,
-    shards: usize,
     events: u64,
-    wall_s: f64,
+    build_s: f64,
+    run_s: f64,
     events_per_sec: f64,
     bytes_per_client: f64,
     hits_completed: u64,
@@ -75,14 +65,17 @@ struct Cell {
 
 fn run_cell(cfg: &SimConfig) -> Cell {
     let t0 = Instant::now();
-    let (report, metrics) = run_simulation_metered(cfg).expect("valid scale config");
-    let wall_s = t0.elapsed().as_secs_f64();
+    let world = World::new(cfg).expect("valid scale config");
+    let build_s = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    let (report, metrics) = world.run_metered();
+    let run_s = t1.elapsed().as_secs_f64();
     Cell {
         clients: cfg.workload.n_clients,
-        shards: cfg.shard.shards,
         events: metrics.events,
-        wall_s,
-        events_per_sec: metrics.events as f64 / wall_s.max(1e-9),
+        build_s,
+        run_s,
+        events_per_sec: metrics.events as f64 / run_s.max(1e-9),
         bytes_per_client: metrics.bytes_per_client(),
         hits_completed: report.hits_completed,
         vm_hwm_mb: vm_hwm_mb(),
@@ -107,8 +100,8 @@ fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Applies the two gates from the committed baseline.
-fn check_against_baseline(dense: &[Cell], weak: &[Cell]) {
+/// Applies the bytes/client gate from the committed baseline.
+fn check_against_baseline(dense: &[Cell]) {
     let path = repo_root().join("BENCH_scale.json");
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("--check: cannot read {}: {e}", path.display()));
@@ -116,7 +109,6 @@ fn check_against_baseline(dense: &[Cell], weak: &[Cell]) {
         serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check: bad baseline JSON: {e}"));
     let max_bytes =
         baseline["gate_max_bytes_per_client"].as_f64().expect("baseline gate_max_bytes_per_client");
-    let min_ratio = baseline["gate_min_weak_ratio"].as_f64().expect("baseline gate_min_weak_ratio");
 
     let mut ok = true;
     for cell in dense {
@@ -126,20 +118,6 @@ fn check_against_baseline(dense: &[Cell], weak: &[Cell]) {
         );
         if cell.bytes_per_client > max_bytes {
             eprintln!("scale: {} clients blew the bytes/client cap", cell.clients);
-            ok = false;
-        }
-    }
-    let base = weak.first().map_or(0.0, |c| c.events_per_sec);
-    assert!(base > 0.0, "1-shard cell measured zero throughput");
-    for cell in &weak[1..] {
-        let ratio = cell.events_per_sec / base;
-        eprintln!(
-            "check weak-scaling {} shards: {ratio:.2}x the 1-shard events/sec \
-             (floor {min_ratio:.2}x)",
-            cell.shards
-        );
-        if ratio < min_ratio {
-            eprintln!("scale: {}-shard throughput collapsed below the floor", cell.shards);
             ok = false;
         }
     }
@@ -160,37 +138,22 @@ fn main() {
     } else {
         &[(10_000, 30.0, 120.0), (100_000, 10.0, 30.0), (1_000_000, 5.0, 15.0)]
     };
-    // Per-shard population must cover the domain set (>= DOMAINS clients).
-    let (per_shard, weak_warmup, weak_duration) =
-        if quick { (10_000, 3.0, 9.0) } else { (20_000, 10.0, 40.0) };
-    let shard_grid = [1usize, 2, 4];
 
     eprintln!(
-        "[scale] {DOMAINS} domains, dense grid {:?} clients, weak scaling {per_shard} \
-         clients/shard x {shard_grid:?} shards{}",
+        "[scale] {DOMAINS} domains, dense grid {:?} clients{}",
         dense_grid.iter().map(|&(c, _, _)| c).collect::<Vec<_>>(),
         if quick { " (quick mode)" } else { "" }
     );
 
     let mut dense: Vec<Cell> = Vec::new();
     for &(clients, warmup, duration) in dense_grid {
-        let cell = run_cell(&scale_config(clients, warmup, duration, 1));
+        let cell = run_cell(&scale_config(clients, warmup, duration));
         eprintln!(
-            "[scale] {clients} clients: {:.0} events/s over {} events, {:.2} bytes/client, \
-             peak rss {:.0} MiB",
-            cell.events_per_sec, cell.events, cell.bytes_per_client, cell.vm_hwm_mb
+            "[scale] {clients} clients: built in {:.3} s, {:.0} events/s over {} events, \
+             {:.2} bytes/client, peak rss {:.0} MiB",
+            cell.build_s, cell.events_per_sec, cell.events, cell.bytes_per_client, cell.vm_hwm_mb
         );
         dense.push(cell);
-    }
-
-    let mut weak: Vec<Cell> = Vec::new();
-    for &shards in &shard_grid {
-        let cell = run_cell(&scale_config(per_shard * shards, weak_warmup, weak_duration, shards));
-        eprintln!(
-            "[scale] {} shards x {per_shard} clients: {:.0} events/s over {} events",
-            shards, cell.events_per_sec, cell.events
-        );
-        weak.push(cell);
     }
 
     let dense_rows: Vec<Vec<String>> = dense
@@ -199,7 +162,8 @@ fn main() {
             vec![
                 format!("{}", c.clients),
                 format!("{}", c.events),
-                format!("{:.2}", c.wall_s),
+                format!("{:.3}", c.build_s),
+                format!("{:.2}", c.run_s),
                 format!("{:.0}", c.events_per_sec),
                 format!("{:.2}", c.bytes_per_client),
                 format!("{:.0}", c.vm_hwm_mb),
@@ -210,36 +174,17 @@ fn main() {
     println!(
         "{}",
         format_table(
-            &["clients", "events", "wall s", "events/s", "B/client", "peak MiB"],
+            &["clients", "events", "build s", "run s", "events/s", "B/client", "peak MiB"],
             &dense_rows
         )
-    );
-
-    let weak_base = weak.first().map_or(f64::NAN, |c| c.events_per_sec);
-    let weak_rows: Vec<Vec<String>> = weak
-        .iter()
-        .map(|c| {
-            vec![
-                format!("{}", c.shards),
-                format!("{}", c.clients),
-                format!("{}", c.events),
-                format!("{:.0}", c.events_per_sec),
-                format!("{:.2}x", c.events_per_sec / weak_base),
-            ]
-        })
-        .collect();
-    println!("weak scaling: {per_shard} clients per shard\n");
-    println!(
-        "{}",
-        format_table(&["shards", "clients", "events", "events/s", "vs 1 shard"], &weak_rows)
     );
 
     let cell_json = |c: &Cell| {
         serde_json::json!({
             "clients": c.clients,
-            "shards": c.shards,
             "events": c.events,
-            "wall_s": c.wall_s,
+            "build_s": c.build_s,
+            "run_s": c.run_s,
             "events_per_sec": c.events_per_sec,
             "bytes_per_client": c.bytes_per_client,
             "hits_completed": c.hits_completed,
@@ -250,7 +195,6 @@ fn main() {
         "quick": quick,
         "domains": DOMAINS,
         "dense": dense.iter().map(cell_json).collect::<Vec<_>>(),
-        "weak_scaling": weak.iter().map(cell_json).collect::<Vec<_>>(),
     });
     let path = output_dir().join("scale.json");
     std::fs::write(&path, serde_json::to_string_pretty(&json).expect("serialize"))
@@ -258,6 +202,6 @@ fn main() {
     eprintln!("wrote {}", path.display());
 
     if check {
-        check_against_baseline(&dense, &weak);
+        check_against_baseline(&dense);
     }
 }

@@ -2,21 +2,19 @@
 //! heterogeneity level and print a comparison table.
 //!
 //! ```sh
-//! cargo run --release -p geodns-bench --bin compare -- [het%] [duration_s] [seed] [--jobs N]
+//! cargo run --release -p geodns-bench --bin compare -- [het%] [duration_s] [seed]
 //! # e.g.
-//! cargo run --release -p geodns-bench --bin compare -- 50 18000 42 --jobs 4
+//! cargo run --release -p geodns-bench --bin compare -- 50 18000 42
 //! ```
 
-use geodns_core::{format_table, run_all_with_jobs, Algorithm, SimConfig};
+use geodns_core::{format_table, run_all, Algorithm, SimConfig};
 use geodns_server::HeterogeneityLevel;
 
 fn usage() -> ! {
-    eprintln!("usage: compare [het%] [duration_s] [seed] [--jobs N]");
+    eprintln!("usage: compare [het%] [duration_s] [seed]");
     eprintln!("  het%        heterogeneity level: 0, 20, 35, 50 or 65 (default 20)");
     eprintln!("  duration_s  measured span in seconds, > 0 (default 18000)");
     eprintln!("  seed        master RNG seed, u64 (default 1998)");
-    eprintln!("  --jobs N    cap sweep worker threads at N (default: all cores,");
-    eprintln!("              or the GEODNS_JOBS environment variable)");
     std::process::exit(2);
 }
 
@@ -35,22 +33,7 @@ fn parse_level(arg: Option<&String>) -> HeterogeneityLevel {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut jobs: Option<usize> = None;
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("error: --jobs requires a thread count");
-            usage();
-        };
-        match value.parse::<usize>() {
-            Ok(n) if n > 0 => jobs = Some(n),
-            _ => {
-                eprintln!("error: --jobs must be a positive integer, got '{value}'");
-                usage();
-            }
-        }
-        args.drain(i..=i + 1);
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.len() > 3 {
         eprintln!("error: too many arguments");
         usage();
@@ -112,12 +95,7 @@ fn main() {
         configs.len()
     );
     let t0 = std::time::Instant::now();
-    let reports = match jobs {
-        // No flag: `run_all` applies the GEODNS_JOBS environment cap.
-        None => geodns_core::run_all(&configs),
-        Some(j) => run_all_with_jobs(&configs, Some(j)),
-    }
-    .expect("valid configs");
+    let reports = run_all(&configs).expect("valid configs");
     eprintln!("done in {:.1?}", t0.elapsed());
 
     let mut rows: Vec<Vec<String>> = reports

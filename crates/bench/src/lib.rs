@@ -13,9 +13,11 @@
 
 mod burst;
 mod chart;
+mod micro;
 
 pub use burst::BurstClock;
 pub use chart::{ascii_chart, Series};
+pub use micro::MicroBench;
 
 use std::fs;
 use std::path::PathBuf;

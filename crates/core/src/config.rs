@@ -13,61 +13,6 @@ fn default_noncoop_fraction() -> f64 {
     1.0
 }
 
-fn default_shard_count() -> usize {
-    1
-}
-
-fn default_epoch_s() -> f64 {
-    8.0
-}
-
-fn default_parallel() -> bool {
-    true
-}
-
-/// Domain-sharded execution of one run (extension; the scale experiments).
-///
-/// With `shards = 1` (the default) the run takes the classic single-world
-/// path and is byte-identical to every report produced before this
-/// extension existed. With `shards > 1` the world is decomposed by domain:
-/// shard `s` owns every domain `d` with `d % shards == s`, together with
-/// those domains' clients, its own name-server cache and DNS scheduler
-/// state for them, and a private replica of the server farm scaled to its
-/// client share. Shards run independent event loops and synchronize at
-/// *epoch barriers* every [`epoch_s`](ShardSpec::epoch_s) simulated
-/// seconds, exchanging (a) per-server backlog views, so each shard's
-/// scheduler sees the whole site's queues, and (b) alarm/normal/liveness
-/// signals, so state-based policies exclude overloaded servers everywhere.
-///
-/// The decomposition is a *model*: a sharded run is not sample-path
-/// identical to the unsharded run of the same seed (cross-shard queueing
-/// interleaves only at barriers). What **is** exact — and pinned by test —
-/// is that the parallel execution is byte-identical to the sequential
-/// execution of the same decomposition, so `parallel` is purely a speed
-/// knob and the sequential path is the oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardSpec {
-    /// Number of world shards; 1 = classic single-world execution.
-    #[serde(default = "default_shard_count")]
-    pub shards: usize,
-    /// Simulated seconds between cross-shard exchange barriers (default:
-    /// the utilization-check period, 8 s — backlog views then refresh at
-    /// the same cadence as the alarm monitors).
-    #[serde(default = "default_epoch_s")]
-    pub epoch_s: f64,
-    /// Run shards on OS threads (`true`, default) or on one thread
-    /// (`false`). Reports are byte-identical either way; the sequential
-    /// mode exists as the determinism oracle.
-    #[serde(default = "default_parallel")]
-    pub parallel: bool,
-}
-
-impl Default for ShardSpec {
-    fn default() -> Self {
-        ShardSpec { shards: 1, epoch_s: 8.0, parallel: true }
-    }
-}
-
 /// How the server side is specified.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServerSpec {
@@ -182,10 +127,6 @@ pub struct SimConfig {
     /// differential-testing oracle.
     #[serde(default)]
     pub queue: QueueKind,
-    /// Domain-sharded execution (extension; off — `shards = 1` — by
-    /// default, which is byte-identical to the pre-sharding single world).
-    #[serde(default)]
-    pub shard: ShardSpec,
     /// Cap on samples retained by each exact response-time CDF; 0
     /// (default) retains everything. Below the cap quantiles are
     /// byte-identical to the uncapped CDF; beyond it samples go through a
@@ -225,7 +166,6 @@ impl SimConfig {
             warmup_s: 1800.0,
             seed: 0x6E0D_0513,
             queue: QueueKind::default(),
-            shard: ShardSpec::default(),
             cdf_sample_cap: 0,
         }
     }
@@ -302,49 +242,6 @@ impl SimConfig {
         if self.warmup_s < 0.0 {
             return Err("warmup must be >= 0".to_string());
         }
-        self.validate_sharding()?;
-        Ok(())
-    }
-
-    /// The sharded-execution restrictions: the decomposition exchanges
-    /// only backlog views and signals at barriers, so features that carry
-    /// other cross-shard state (fault injection, timelines, tracers, the
-    /// seeded geography) are rejected rather than silently mis-modeled.
-    fn validate_sharding(&self) -> Result<(), String> {
-        let s = &self.shard;
-        if s.shards == 0 {
-            return Err("shard.shards must be >= 1".to_string());
-        }
-        if s.shards == 1 {
-            return Ok(());
-        }
-        if !(s.epoch_s.is_finite() && s.epoch_s > 0.0) {
-            return Err(format!("shard.epoch_s must be > 0, got {}", s.epoch_s));
-        }
-        if s.shards > self.workload.n_domains {
-            return Err(format!(
-                "shard.shards = {} exceeds the {} domains (shards own whole domains)",
-                s.shards, self.workload.n_domains
-            ));
-        }
-        if self.failures.enabled {
-            return Err("sharded runs do not support fault injection".to_string());
-        }
-        if self.record_timeline {
-            return Err("sharded runs do not support timeline recording".to_string());
-        }
-        if self.obs.counters || self.obs.trace_path.is_some() {
-            return Err("sharded runs do not support observability recorders".to_string());
-        }
-        if self.latency.enabled {
-            return Err("sharded runs do not support the geographic latency model".to_string());
-        }
-        if self.workload.profile != geodns_workload::RateProfile::Constant {
-            return Err("sharded runs require the constant rate profile".to_string());
-        }
-        if self.workload.rate_error != 0.0 {
-            return Err("sharded runs do not support rate perturbation".to_string());
-        }
         Ok(())
     }
 }
@@ -419,58 +316,19 @@ mod tests {
         assert_eq!(q.workload, p.workload);
     }
 
-    #[test]
-    fn shard_spec_is_validated() {
-        let base = SimConfig::paper_default(Algorithm::rr(), HeterogeneityLevel::H20);
-
-        let mut cfg = base.clone();
-        cfg.shard.shards = 4;
-        assert!(cfg.validate().is_ok());
-
-        cfg.shard.shards = 0;
-        assert!(cfg.validate().is_err(), "zero shards");
-
-        cfg.shard.shards = 21;
-        assert!(cfg.validate().is_err(), "more shards than domains");
-
-        cfg.shard.shards = 4;
-        cfg.shard.epoch_s = 0.0;
-        assert!(cfg.validate().is_err(), "degenerate epoch");
-
-        let mut cfg = base.clone();
-        cfg.shard.shards = 4;
-        cfg.record_timeline = true;
-        assert!(cfg.validate().is_err(), "timeline excluded");
-
-        let mut cfg = base.clone();
-        cfg.shard.shards = 4;
-        cfg.failures.enabled = true;
-        assert!(cfg.validate().is_err(), "fault injection excluded");
-
-        let mut cfg = base.clone();
-        cfg.shard.shards = 4;
-        cfg.latency.enabled = true;
-        assert!(cfg.validate().is_err(), "geography excluded");
-
-        let mut cfg = base;
-        cfg.shard.shards = 4;
-        cfg.workload.rate_error = 0.2;
-        assert!(cfg.validate().is_err(), "perturbation excluded");
-    }
-
+    /// Configs written before the CDF cap existed still parse, to the
+    /// uncapped single-world run they always described.
     #[test]
     fn pre_sharding_configs_deserialize_to_single_shard() {
         let cfg = SimConfig::paper_default(Algorithm::rr(), HeterogeneityLevel::H20);
         let mut json: serde_json::Value = serde_json::to_value(&cfg).unwrap();
         match &mut json {
             serde_json::Value::Object(fields) => {
-                fields.retain(|(k, _)| k != "shard" && k != "cdf_sample_cap");
+                fields.retain(|(k, _)| k != "cdf_sample_cap");
             }
             other => panic!("config serializes to an object, got {other:?}"),
         }
         let back: SimConfig = serde_json::from_value(&json).unwrap();
-        assert_eq!(back.shard, ShardSpec::default());
-        assert_eq!(back.shard.shards, 1);
         assert_eq!(back.cdf_sample_cap, 0);
         assert_eq!(back, cfg);
     }

@@ -25,39 +25,17 @@ use crate::{run_simulation, SimConfig, SimReport};
 /// assert_eq!(reports[0].algorithm, "RR");
 /// ```
 pub fn run_all(configs: &[SimConfig]) -> Result<Vec<SimReport>, String> {
-    run_all_with_jobs(configs, env_jobs())
+    let cores = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+    run_on_threads(configs, cores)
 }
 
-/// The `GEODNS_JOBS` worker cap: unset, `0`, or unparsable all mean "no
-/// cap" (use every core), so the variable can be exported unconditionally
-/// in CI scripts.
-fn env_jobs() -> Option<usize> {
-    std::env::var("GEODNS_JOBS").ok().and_then(|v| v.parse::<usize>().ok()).filter(|&j| j > 0)
-}
-
-/// [`run_all`] with an explicit cap on worker threads. `None` uses every
-/// available core (capped by `GEODNS_JOBS` when callers go through
-/// [`run_all`]); `Some(1)` runs serially on the calling thread. The cap
-/// matters when each config is itself sharded
-/// ([`ShardSpec`](crate::ShardSpec)): sweep-level and shard-level threads
-/// multiply, so a sweep of S-shard configs wants `jobs ≈ cores / S`.
-/// Results come back in input order regardless of the cap or completion
-/// order (workers send `(index, result)` pairs; the receiver reorders).
-///
-/// # Errors
-///
-/// Returns the first configuration error encountered.
-pub fn run_all_with_jobs(
-    configs: &[SimConfig],
-    jobs: Option<usize>,
-) -> Result<Vec<SimReport>, String> {
-    let threads = jobs
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4)
-        })
-        .min(configs.len().max(1));
-
-    if threads <= 1 || configs.len() <= 1 {
+/// [`run_all`] on at most `threads` workers; 1 runs serially on the
+/// calling thread. Results come back in input order regardless of the
+/// worker count or completion order (workers send `(index, result)`
+/// pairs; the receiver reorders).
+fn run_on_threads(configs: &[SimConfig], threads: usize) -> Result<Vec<SimReport>, String> {
+    let threads = threads.min(configs.len());
+    if threads <= 1 {
         return configs.iter().map(run_simulation).collect();
     }
 
@@ -67,11 +45,11 @@ pub fn run_all_with_jobs(
     let next = std::sync::atomic::AtomicUsize::new(0);
     let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<SimReport, String>)>();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let next = &next;
         for _ in 0..threads {
             let tx = tx.clone();
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= configs.len() {
                     break;
@@ -81,8 +59,7 @@ pub fn run_all_with_jobs(
                 }
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     drop(tx);
 
     let mut results: Vec<Option<Result<SimReport, String>>> = Vec::new();
@@ -192,10 +169,10 @@ mod tests {
                 c
             })
             .collect();
-        let serial = run_all_with_jobs(&configs, Some(1)).unwrap();
-        for jobs in [2, 3, 64] {
-            let capped = run_all_with_jobs(&configs, Some(jobs)).unwrap();
-            assert_eq!(capped, serial, "jobs = {jobs}");
+        let serial = run_on_threads(&configs, 1).unwrap();
+        for threads in [2, 3, 64] {
+            let parallel = run_on_threads(&configs, threads).unwrap();
+            assert_eq!(parallel, serial, "threads = {threads}");
         }
         for (cfg, report) in configs.iter().zip(&serial) {
             assert_eq!(report.seed, cfg.seed, "input order held");

@@ -73,7 +73,6 @@ mod replication;
 mod report;
 mod scheduler;
 mod service;
-mod shard;
 mod timeline;
 pub mod ttl;
 mod world;
@@ -81,9 +80,9 @@ mod world;
 pub use algorithm::Algorithm;
 pub use classifier::{DomainClasses, TierSpec};
 pub use client_cache::ClientCacheModel;
-pub use config::{ServerSpec, ShardSpec, SimConfig};
+pub use config::{ServerSpec, SimConfig};
 pub use estimator::{EstimatorKind, HiddenLoadEstimator};
-pub use experiment::{format_table, run_all, run_all_with_jobs, Experiment};
+pub use experiment::{format_table, run_all, Experiment};
 pub use failover::{FailoverModel, FailureConfig};
 pub use obs::{
     DnsDecision, JsonlTracer, MuxProbe, NoopProbe, ObsConfig, ObsCounters, ObsSnapshot, Probe,

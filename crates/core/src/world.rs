@@ -115,14 +115,6 @@ pub struct World {
     scratch_backlogs: Vec<f64>,
     scratch_counts: Vec<u64>,
     scratch_dropped: Vec<Hit>,
-    // --- shard protocol (`shard.rs`): the other shards' summed backlog
-    // view from the last epoch barrier (empty in a single-world run, so
-    // `fill_backlogs` stays a plain copy), and the outbox of signals this
-    // shard raised since the last barrier (collected only when
-    // `collect_signals` is set, so the classic path never allocates) ---
-    remote_backlogs: Vec<f64>,
-    collect_signals: bool,
-    signal_outbox: Vec<(u32, Signal)>,
     // --- observability: recorders attached per `SimConfig::obs`. The
     // default (no recorders) makes every hook a pair of `None` checks and
     // keeps the run byte-identical — recorders observe, never perturb. ---
@@ -316,9 +308,6 @@ impl World {
             scratch_backlogs: Vec::with_capacity(n_servers),
             scratch_counts: Vec::with_capacity(n_domains),
             scratch_dropped: Vec::new(),
-            remote_backlogs: Vec::new(),
-            collect_signals: false,
-            signal_outbox: Vec::new(),
             probe: MuxProbe::from_config(&cfg.obs)?,
             params: RunParams {
                 seed: cfg.seed,
@@ -352,12 +341,15 @@ impl World {
         while let Some((now, ev)) = self.engine.step() {
             self.dispatch(now, ev);
         }
-        let metrics = self.metrics();
+        let metrics = RunMetrics {
+            events: self.engine.events_processed(),
+            clients: self.clients.len() as u64,
+            client_state_bytes: self.clients.bytes() as u64,
+        };
         (self.finalize(), metrics)
     }
 
-    /// Handles one event. The single dispatch point shared by the classic
-    /// run-to-completion loop and the sharded epoch loop.
+    /// Handles one event.
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
         self.probe.on_event(now, ev.kind(), self.engine.pending());
         match ev {
@@ -374,15 +366,6 @@ impl World {
             Ev::ServerCrash { server } => self.on_server_crash(server, now),
             Ev::ServerRecover { server } => self.on_server_recover(server, now),
             Ev::RetryPage { client } => self.on_retry_page(client, now),
-        }
-    }
-
-    /// Execution counters of the run so far.
-    fn metrics(&self) -> RunMetrics {
-        RunMetrics {
-            events: self.engine.events_processed(),
-            clients: self.clients.len() as u64,
-            client_state_bytes: self.clients.bytes() as u64,
         }
     }
 
@@ -430,14 +413,6 @@ impl World {
     fn fill_backlogs(&mut self) {
         self.scratch_backlogs.clear();
         self.scratch_backlogs.extend(self.servers.iter().map(WebServer::normalized_backlog));
-        // In a sharded run, add the other shards' view from the last epoch
-        // barrier so the scheduler judges whole-site queues. Empty (and
-        // skipped — keeping the classic path byte-identical) otherwise.
-        if !self.remote_backlogs.is_empty() {
-            for (own, remote) in self.scratch_backlogs.iter_mut().zip(&self.remote_backlogs) {
-                *own += remote;
-            }
-        }
     }
 
     /// Resolves the client's domain through the full path (client cache →
@@ -674,9 +649,6 @@ impl World {
         }
         self.probe.on_signal(now, server as usize, signal);
         self.dns.signal(server as usize, signal);
-        if self.collect_signals {
-            self.signal_outbox.push((server, signal));
-        }
     }
 
     fn on_server_crash(&mut self, server: u32, now: SimTime) {
@@ -877,88 +849,6 @@ impl World {
     }
 }
 
-// --- the shard protocol: the crate-private hooks `shard.rs` drives to run
-// this world as one shard of a domain-decomposed site (see `ShardSpec`) ---
-impl World {
-    /// Schedules the initial event population without running. The epoch
-    /// loop then advances the world barrier by barrier.
-    pub(crate) fn start(&mut self) {
-        self.schedule_initial_events();
-    }
-
-    /// Processes every pending event with timestamp strictly before
-    /// `until`, then stops — events at or past the barrier instant run in
-    /// the next epoch, after the cross-shard exchange.
-    pub(crate) fn run_epoch(&mut self, until: SimTime) {
-        while self.engine.next_event_time().is_some_and(|t| t < until) {
-            let (now, ev) = self.engine.step().expect("a pending event was just peeked");
-            self.dispatch(now, ev);
-        }
-    }
-
-    /// Whether the event queue is empty (the horizon has passed).
-    pub(crate) fn drained(&self) -> bool {
-        self.engine.next_event_time().is_none()
-    }
-
-    /// Turns on the signal outbox so alarm/normal/liveness signals this
-    /// shard's DNS receives are also staged for broadcast at the barrier.
-    pub(crate) fn enable_signal_collection(&mut self) {
-        self.collect_signals = true;
-    }
-
-    /// Writes this shard's per-server normalized backlogs into `out`.
-    pub(crate) fn export_backlogs(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.servers.iter().map(WebServer::normalized_backlog));
-    }
-
-    /// Installs the other shards' summed backlog view for the next epoch.
-    pub(crate) fn set_remote_backlogs(&mut self, remote: &[f64]) {
-        self.remote_backlogs.clear();
-        self.remote_backlogs.extend_from_slice(remote);
-    }
-
-    /// Moves the staged signals out (in the order they fired).
-    pub(crate) fn drain_signal_outbox(&mut self, out: &mut Vec<(u32, Signal)>) {
-        out.append(&mut self.signal_outbox);
-    }
-
-    /// Delivers a signal another shard raised to this shard's DNS.
-    pub(crate) fn apply_remote_signal(&mut self, server: u32, signal: Signal) {
-        self.dns.signal(server as usize, signal);
-    }
-
-    /// Tears the finished shard down into its raw statistics, for the
-    /// cross-shard merge (`shard.rs`). The single-world path goes through
-    /// [`finalize`](World::finalize) instead.
-    pub(crate) fn harvest(self) -> crate::shard::ShardHarvest {
-        let metrics = self.metrics();
-        let hits_in_flight: u64 = self.servers.iter().map(|s| s.queue_len() as u64).sum();
-        crate::shard::ShardHarvest {
-            max_util_samples: self.max_util_samples,
-            per_server_util: self.per_server_util,
-            page_response: self.page_response,
-            page_responses: self.page_responses,
-            page_response_hot: self.page_response_hot,
-            page_response_normal: self.page_response_normal,
-            sessions: self.sessions,
-            dns_queries: self.dns_queries_measured,
-            client_cache_hits: self.client_cache_hits,
-            hits_completed: self.hits_completed_measured,
-            hits_total: self.hits_total,
-            hits_direct: self.hits_direct,
-            alarms: self.alarms_measured,
-            ns_stats: self.ns.stats(),
-            hits_issued_total: self.hits_issued_total,
-            hits_served_total: self.hits_served_total,
-            hits_failed_total: self.hits_failed_total,
-            hits_in_flight,
-            metrics,
-        }
-    }
-}
-
 impl std::fmt::Debug for World {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
@@ -991,19 +881,6 @@ impl RunMetrics {
             self.client_state_bytes as f64 / self.clients as f64
         }
     }
-
-    /// Sums counters across shards (client counts and bytes add; so do
-    /// events).
-    #[must_use]
-    pub fn merged(metrics: &[RunMetrics]) -> RunMetrics {
-        let mut total = RunMetrics { events: 0, clients: 0, client_state_bytes: 0 };
-        for m in metrics {
-            total.events += m.events;
-            total.clients += m.clients;
-            total.client_state_bytes += m.client_state_bytes;
-        }
-        total
-    }
 }
 
 /// Runs one simulation described by `config` and returns its report.
@@ -1026,22 +903,16 @@ impl RunMetrics {
 /// assert!(report.mean_util() > 0.0);
 /// ```
 pub fn run_simulation(config: &SimConfig) -> Result<SimReport, String> {
-    if config.shard.shards > 1 {
-        return Ok(crate::shard::run_sharded(config)?.0);
-    }
     Ok(World::new(config)?.run())
 }
 
 /// Runs one simulation and also returns its execution metrics (events
-/// processed, per-client state bytes) — the scale bench's entry point.
+/// processed, per-client state bytes).
 ///
 /// # Errors
 ///
 /// Returns the first configuration problem found.
 pub fn run_simulation_metered(config: &SimConfig) -> Result<(SimReport, RunMetrics), String> {
-    if config.shard.shards > 1 {
-        return crate::shard::run_sharded(config);
-    }
     Ok(World::new(config)?.run_metered())
 }
 

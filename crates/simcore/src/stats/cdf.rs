@@ -131,21 +131,6 @@ impl Cdf {
         self.samples.capacity() * std::mem::size_of::<f64>()
     }
 
-    /// Merges another CDF's retained samples into this one (parallel-shard
-    /// friendly). Quantiles of the merged set are order-invariant: samples
-    /// are re-sorted on the next query, so merging shards in any order
-    /// yields the same multiset. Counts of *seen* samples add. The merged
-    /// set is allowed to exceed `cap` — shard merging happens once, at
-    /// harvest, where `shards × cap` is the intended bound.
-    pub fn merge(&mut self, other: &Cdf) {
-        if other.samples.is_empty() && other.seen == 0 {
-            return;
-        }
-        self.samples.extend_from_slice(&other.samples);
-        self.seen += other.seen;
-        self.sorted.set(false);
-    }
-
     /// Whether no samples have been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -339,26 +324,5 @@ mod tests {
         };
         assert_eq!(run(1).to_bits(), run(1).to_bits());
         assert_ne!(run(1).to_bits(), run(2).to_bits(), "different seeds, different reservoir");
-    }
-
-    #[test]
-    fn merge_is_order_invariant_and_counts_add() {
-        let mut a = Cdf::new();
-        let mut b = Cdf::new();
-        for i in 0..50 {
-            a.record(f64::from(i));
-            b.record(f64::from(100 - i));
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.seen(), 100);
-        for q in [0.0, 0.1, 0.5, 0.9, 1.0] {
-            assert_eq!(ab.quantile(q).unwrap().to_bits(), ba.quantile(q).unwrap().to_bits());
-        }
-        let mut empty = Cdf::new();
-        empty.merge(&Cdf::new());
-        assert!(empty.is_empty());
     }
 }

@@ -223,24 +223,6 @@ proptest! {
         prop_assert_eq!(capped.mean().to_bits(), exact.mean().to_bits());
     }
 
-    /// Merging CDFs shard-by-shard matches recording the union sequentially
-    /// (uncapped): quantiles agree bit-for-bit after the sort.
-    #[test]
-    fn cdf_merge_matches_sequential(
-        a in prop::collection::vec(-1e3f64..1e3, 0..60),
-        b in prop::collection::vec(-1e3f64..1e3, 1..60),
-        q in 0.0f64..1.0,
-    ) {
-        let mut ca = Cdf::new();
-        let mut cb = Cdf::new();
-        let mut whole = Cdf::new();
-        for &x in &a { ca.record(x); whole.record(x); }
-        for &x in &b { cb.record(x); whole.record(x); }
-        ca.merge(&cb);
-        prop_assert_eq!(ca.seen(), whole.seen());
-        prop_assert_eq!(ca.quantile(q).unwrap().to_bits(), whole.quantile(q).unwrap().to_bits());
-    }
-
     /// Alias-method sampling only produces indices with positive weight.
     #[test]
     fn discrete_support_respected(weights in prop::collection::vec(0.0f64..10.0, 1..50), seed in 0u64..1000) {

@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: full simulation runs asserting the
 //! physical invariants of the model.
 
-use geodns_core::{run_simulation, Algorithm, EstimatorKind, SimConfig, SimReport};
+use geodns_core::{
+    run_simulation, run_simulation_metered, Algorithm, EstimatorKind, SimConfig, SimReport,
+};
 use geodns_server::HeterogeneityLevel;
 
 fn run_short(algorithm: Algorithm, level: HeterogeneityLevel, seed: u64) -> SimReport {
@@ -120,4 +122,52 @@ fn report_serializes_to_json() {
     let json = serde_json::to_string(&r).expect("serialize");
     let back: SimReport = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(r, back);
+}
+
+#[test]
+fn client_state_holds_the_bytes_per_client_budget() {
+    // The struct-of-arrays columns cost 32¼ bytes per client (four f64
+    // columns plus one bit of hot/normal class). The budget is the
+    // regression tripwire: a per-client struct or a stray usize column
+    // blows straight through 40.
+    let mut cfg = SimConfig::quick(Algorithm::drr2_ttl_s_k(), HeterogeneityLevel::H20);
+    cfg.workload.n_clients = 50_000;
+    cfg.workload.n_domains = 2_000;
+    cfg.total_capacity = 50_000.0;
+    cfg.duration_s = 30.0;
+    cfg.warmup_s = 5.0;
+    let (_, metrics) = run_simulation_metered(&cfg).unwrap();
+    let bytes = metrics.bytes_per_client();
+    assert!(bytes > 0.0, "metering must account the client columns");
+    assert!(bytes <= 40.0, "client state regressed to {bytes:.2} bytes/client");
+}
+
+#[test]
+fn capped_cdfs_keep_the_report_usable() {
+    // `cdf_sample_cap` bounds report memory for long runs; the capped
+    // response-time summary must stay a faithful reservoir sample, not
+    // collapse to a truncated prefix.
+    let mut base = SimConfig::quick(Algorithm::drr2_ttl_s_k(), HeterogeneityLevel::H20);
+    base.duration_s = 300.0;
+    base.warmup_s = 60.0;
+    base.seed = 5;
+    let mut capped = base.clone();
+    capped.cdf_sample_cap = 8_192;
+    let mut exact = capped.clone();
+    exact.cdf_sample_cap = 0;
+    let capped = run_simulation(&capped).unwrap();
+    let exact = run_simulation(&exact).unwrap();
+    assert_eq!(capped.hits_completed, exact.hits_completed);
+    assert!(
+        (capped.page_response_p95_s - exact.page_response_p95_s).abs()
+            < exact.page_response_p95_s * 0.25,
+        "reservoir p95 {:.4}s drifted from exact {:.4}s",
+        capped.page_response_p95_s,
+        exact.page_response_p95_s
+    );
+
+    // A cap the run never reaches must be a no-op: byte-identical report.
+    let mut roomy = base;
+    roomy.cdf_sample_cap = usize::MAX;
+    assert_eq!(run_simulation(&roomy).unwrap(), exact);
 }
